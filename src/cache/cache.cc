@@ -14,109 +14,108 @@ Cache::Cache(const CacheParams &params) : params_(params)
     trb_assert((sets_ & (sets_ - 1)) == 0,
                "cache set count must be a power of two: ", params.name);
     setMask_ = sets_ - 1;
-    lines_.assign(lines, Line{});
+    tags_.assign(lines, kInvalidTag);
+    dirty_.assign(lines, 0);
+    // Each policy keeps only its own replacement state.
+    if (params.policy == ReplPolicy::Lru)
+        lru_.assign(lines, 0);
+    else
+        rrpv_.assign(lines, 3);
 }
 
-Cache::Line *
-Cache::find(Addr addr)
+std::size_t
+Cache::probeSlot(Addr addr) const
 {
-    Line *set = &lines_[setOf(addr) * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (set[w].valid && set[w].tag == tagOf(addr))
-            return &set[w];
-    return nullptr;
+    const std::size_t base = setBase(addr);
+    const Addr tag = tagOf(addr);
+    for (std::size_t s = base; s < base + params_.ways; ++s)
+        if (tags_[s] == tag)
+            return s;
+    return kNoSlot;
 }
 
-const Cache::Line *
-Cache::find(Addr addr) const
-{
-    const Line *set = &lines_[setOf(addr) * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (set[w].valid && set[w].tag == tagOf(addr))
-            return &set[w];
-    return nullptr;
-}
-
-bool
-Cache::access(Addr addr, bool write)
+std::size_t
+Cache::accessSlot(Addr addr, bool write)
 {
     ++accesses_;
-    Line *line = find(addr);
-    if (!line) {
+    std::size_t s = probeSlot(addr);
+    if (s == kNoSlot) {
         ++misses_;
-        return false;
+        return kNoSlot;
     }
-    line->lru = ++clock_;
-    line->rrpv = 0;
-    line->dirty |= write;
-    return true;
+    touch(s, 0);
+    if (write)
+        dirty_[s] = 1;
+    return s;
 }
 
-bool
-Cache::probe(Addr addr) const
+std::size_t
+Cache::pickVictim(std::size_t base)
 {
-    return find(addr) != nullptr;
-}
-
-Cache::Line &
-Cache::pickVictim(std::size_t set)
-{
-    Line *ways = &lines_[set * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (!ways[w].valid)
-            return ways[w];
-
+    const std::size_t end = base + params_.ways;
     if (params_.policy == ReplPolicy::Lru) {
-        Line *victim = &ways[0];
-        for (unsigned w = 1; w < params_.ways; ++w)
-            if (ways[w].lru < victim->lru)
-                victim = &ways[w];
-        return *victim;
+        // The first free way, else the oldest stamp, in one pass.
+        std::size_t victim = base;
+        for (std::size_t s = base; s < end; ++s) {
+            if (tags_[s] == kInvalidTag)
+                return s;
+            if (lru_[s] < lru_[victim])
+                victim = s;
+        }
+        return victim;
     }
 
-    // SRRIP: evict the first line with maximal RRPV, aging as needed.
+    // SRRIP: the first free way, else the first line with maximal RRPV,
+    // aging the set as needed.
     for (;;) {
-        for (unsigned w = 0; w < params_.ways; ++w)
-            if (ways[w].rrpv >= 3)
-                return ways[w];
-        for (unsigned w = 0; w < params_.ways; ++w)
-            ++ways[w].rrpv;
+        std::size_t distant = kNoSlot;
+        for (std::size_t s = base; s < end; ++s) {
+            if (tags_[s] == kInvalidTag)
+                return s;
+            if (distant == kNoSlot && rrpv_[s] >= 3)
+                distant = s;
+        }
+        if (distant != kNoSlot)
+            return distant;
+        for (std::size_t s = base; s < end; ++s)
+            ++rrpv_[s];
     }
 }
 
-bool
-Cache::insert(Addr addr, bool write, bool prefetched, Addr &victim)
+std::size_t
+Cache::insert(Addr addr, bool write, bool prefetched, Eviction *evicted)
 {
-    victim = 0;
-    Line *existing = find(addr);
-    if (existing) {
-        existing->dirty |= write;
-        return false;
-    }
+#ifndef NDEBUG
+    trb_assert(probeSlot(addr) == kNoSlot,
+               "inserting a resident line: ", params_.name);
+#endif
     ++insertions_;
-    Line &line = pickVictim(setOf(addr));
-    bool dirty_evict = line.valid && line.dirty;
-    if (line.valid)
-        victim = line.tag * kLineBytes;
-    if (dirty_evict)
-        ++writebacks_;
-    line.valid = true;
-    line.tag = tagOf(addr);
-    line.dirty = write;
-    line.lru = ++clock_;
-    line.rrpv = prefetched ? 3 : 2;
-    return dirty_evict;
+    std::size_t s = pickVictim(setBase(addr));
+    Eviction ev;
+    if (tags_[s] != kInvalidTag) {
+        ev.valid = true;
+        ev.dirty = dirty_[s] != 0;
+        ev.addr = tags_[s] * kLineBytes;
+        if (ev.dirty)
+            ++writebacks_;
+    }
+    if (evicted)
+        *evicted = ev;
+    tags_[s] = tagOf(addr);
+    dirty_[s] = write;
+    touch(s, prefetched ? 3 : 2);
+    return s;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Line *line = find(addr);
-    if (!line)
+    std::size_t s = probeSlot(addr);
+    if (s == kNoSlot)
         return false;
-    bool dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
+    bool dirty = dirty_[s] != 0;
+    tags_[s] = kInvalidTag;
+    dirty_[s] = 0;
     return dirty;
 }
 

@@ -5,114 +5,15 @@
 namespace trb
 {
 
-MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
-    : params_(params), l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2),
-      llc_(params.llc)
-{
-    if (params.l1dIpStride)
-        l1dPrefetcher_ = std::make_unique<IpStridePrefetcher>();
-    if (params.l2NextLine)
-        l2Prefetcher_ = std::make_unique<NextLinePrefetcher>();
-}
-
-void
-MemoryHierarchy::cleanInflight(std::unordered_map<Addr, Cycle> &map,
-                               Cycle now)
-{
-    // Lazily bound the in-flight set: completed fills can go.
-    if (map.size() < 4096)
-        return;
-    for (auto it = map.begin(); it != map.end();) {
-        if (it->second <= now)
-            it = map.erase(it);
-        else
-            ++it;
-    }
-}
-
-Cycle
-MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
-                            bool prefetched)
-{
-    Addr line = lineAddr(addr);
-    Addr victim = 0;
-
-    bool l2_hit;
-    if (demand) {
-        ++l2Acc_;
-        l2_hit = l2_.access(line, false);
-        if (!l2_hit)
-            ++l2Miss_;
-    } else {
-        l2_hit = l2_.probe(line);
-    }
-
-    // The L2 next-line prefetcher observes all L2 demand traffic (hits
-    // included, or a marching stream would only ever run one line ahead).
-    if (demand && l2Prefetcher_) {
-        pfScratch_.clear();
-        l2Prefetcher_->observe(0, addr, l2_hit, pfScratch_);
-        for (Addr cand : pfScratch_) {
-            if (!l2_.probe(cand) && !llc_.probe(cand)) {
-                ++pfIssued_;
-                // Next-line fill: bring into L2 (and LLC) quietly.
-                llc_.insert(cand, false, true, victim);
-                l2_.insert(cand, false, true, victim);
-            }
-        }
-    }
-
-    if (l2_hit)
-        return params_.l2.latency;
-
-    Cycle lat = params_.l2.latency;
-    if (demand) {
-        ++llcAcc_;
-        if (llc_.access(line, false)) {
-            l2_.insert(line, false, prefetched, victim);
-            return lat + params_.llc.latency;
-        }
-        ++llcMiss_;
-    } else if (llc_.probe(line)) {
-        l2_.insert(line, false, prefetched, victim);
-        return lat + params_.llc.latency;
-    }
-
-    // DRAM.
-    llc_.insert(line, write, prefetched, victim);
-    l2_.insert(line, false, prefetched, victim);
-    return lat + params_.llc.latency + params_.dramLatency;
-}
-
-Cycle
-MemoryHierarchy::fillL1(Cache &l1, std::unordered_map<Addr, Cycle> &inflight,
-                        Addr addr, bool write, bool demand, bool prefetched,
-                        Cycle now)
-{
-    Addr line = lineAddr(addr);
-
-    // MSHR-style merge with an outstanding fill.
-    auto it = inflight.find(line);
-    if (it != inflight.end()) {
-        if (it->second > now)
-            return it->second - now;
-        inflight.erase(it);
-        // The fill completed: the line is in the tag array already.
-        return 0;
-    }
-
-    Cycle beyond = walkShared(addr, write, demand, prefetched);
-    Addr victim = 0;
-    l1.insert(line, write, prefetched, victim);
-    if (victim != 0)
-        inflight.erase(victim);
-    inflight[line] = now + beyond;
-    cleanInflight(inflight, now);
-    return beyond;
-}
-
 namespace
 {
+
+/**
+ * Pending fills above which completed ones are swept out of an L1, so
+ * the set of fills in flight stays bounded.  No shipped L1 has this
+ * many ways, so only an outsized L1 ever sweeps.
+ */
+constexpr std::size_t kPendingSweep = 4096;
 
 /** Classify a beyond-L1 delay into the level that provided the data. */
 unsigned
@@ -129,77 +30,154 @@ levelOf(Cycle beyond, const HierarchyParams &p)
 
 } // namespace
 
+MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
+    : params_(params), l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2),
+      llc_(params.llc)
+{
+    if (params.l1dIpStride)
+        l1dPrefetcher_ = std::make_unique<IpStridePrefetcher>();
+    if (params.l2NextLine)
+        l2Prefetcher_ = std::make_unique<NextLinePrefetcher>();
+}
+
+Cycle
+MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
+                            bool prefetched)
+{
+    Addr line = lineAddr(addr);
+
+    bool l2_hit;
+    if (demand) {
+        ++l2Acc_;
+        l2_hit = l2_.access(line, false);
+        if (!l2_hit)
+            ++l2Miss_;
+    } else {
+        l2_hit = l2_.probe(line);
+    }
+
+    // The L2 next-line prefetcher observes all L2 demand traffic (hits
+    // included, or a marching stream would only ever run one line ahead).
+    if (demand && l2Prefetcher_) {
+        l2Cands_.clear();
+        l2Prefetcher_->observe(0, addr, l2_hit, l2Cands_);
+        for (Addr cand : l2Cands_) {
+            if (!l2_.probe(cand) && !llc_.probe(cand)) {
+                ++pfIssued_;
+                // Next-line fill: bring into L2 (and LLC) quietly.
+                llc_.insert(cand, false, true);
+                l2_.insert(cand, false, true);
+            }
+        }
+    }
+
+    if (l2_hit)
+        return params_.l2.latency;
+
+    Cycle lat = params_.l2.latency;
+    if (demand) {
+        ++llcAcc_;
+        if (llc_.access(line, false)) {
+            l2_.insert(line, false, prefetched);
+            return lat + params_.llc.latency;
+        }
+        ++llcMiss_;
+    } else if (llc_.probe(line)) {
+        l2_.insert(line, false, prefetched);
+        return lat + params_.llc.latency;
+    }
+
+    // DRAM.
+    llc_.insert(line, write, prefetched);
+    l2_.insert(line, false, prefetched);
+    return lat + params_.llc.latency + params_.dramLatency;
+}
+
+Cycle
+MemoryHierarchy::pendingFill(L1 &l1, std::size_t slot, Cycle now)
+{
+    Cycle &ready = l1.readyAt[slot];
+    if (ready > now)
+        return ready - now;
+    if (ready != 0) {
+        ready = 0;
+        --l1.pending;
+    }
+    return 0;
+}
+
+Cycle
+MemoryHierarchy::fillL1(L1 &l1, Addr addr, bool write, bool demand,
+                        bool prefetched, Cycle now)
+{
+    Cycle beyond = walkShared(addr, write, demand, prefetched);
+    std::size_t slot = l1.tags.insert(lineAddr(addr), write, prefetched);
+    // The evicted way's pending fill, if any, goes with it.
+    Cycle &ready = l1.readyAt[slot];
+    l1.pending -= ready != 0;
+    ready = now + beyond;
+    l1.pending += ready != 0;
+    if (l1.pending >= kPendingSweep) {
+        for (Cycle &r : l1.readyAt) {
+            if (r != 0 && r <= now) {
+                r = 0;
+                --l1.pending;
+            }
+        }
+    }
+    return beyond;
+}
+
+bool
+MemoryHierarchy::prefetchL1(L1 &l1, Addr addr, Cycle now)
+{
+    if (l1.tags.probe(lineAddr(addr)))
+        return false;
+    ++pfIssued_;
+    fillL1(l1, addr, false, false, true, now);
+    return true;
+}
+
 AccessResult
 MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
 {
     AccessResult res;
-    Addr line = lineAddr(addr);
+    const bool instr = kind == AccessKind::Instr;
+    const bool write = kind == AccessKind::Store;
+    L1 &l1 = instr ? l1i_ : l1d_;
+    std::uint64_t &acc = instr ? l1iAcc_ : l1dAcc_;
+    std::uint64_t &miss = instr ? l1iMiss_ : l1dMiss_;
+    std::uint64_t &merge = instr ? l1iMshrMerge_ : l1dMshrMerge_;
 
-    if (kind == AccessKind::Instr) {
-        ++l1iAcc_;
-        res.latency = params_.l1i.latency;
-        if (l1i_.access(line, false)) {
-            // Tag hit, but the fill may still be in flight (a late
-            // prefetch or an MSHR merge): pay the remaining time and
-            // count it as a demand miss.
-            auto it = inflightI_.find(line);
-            if (it != inflightI_.end()) {
-                if (it->second > now) {
-                    res.latency += it->second - now;
-                    res.l1Miss = true;
-                    ++l1iMiss_;
-                    ++l1iMshrMerge_;
-                    res.level = levelOf(it->second - now, params_);
-                } else {
-                    inflightI_.erase(it);
-                }
-            }
-            return res;
-        }
-        ++l1iMiss_;
-        res.l1Miss = true;
-        Cycle beyond =
-            fillL1(l1i_, inflightI_, addr, false, true, false, now);
-        res.latency += beyond;
-        res.level = levelOf(beyond, params_);
-        return res;
-    }
-
-    bool write = kind == AccessKind::Store;
-    ++l1dAcc_;
-    res.latency = params_.l1d.latency;
-    bool hit = l1d_.access(line, write);
+    ++acc;
+    res.latency = instr ? params_.l1i.latency : params_.l1d.latency;
+    std::size_t slot = l1.tags.accessSlot(addr, write);
+    const bool hit = slot != Cache::kNoSlot;
     if (hit) {
-        auto it = inflightD_.find(line);
-        if (it != inflightD_.end()) {
-            if (it->second > now) {
-                res.latency += it->second - now;
-                res.l1Miss = true;
-                ++l1dMiss_;
-                ++l1dMshrMerge_;
-                res.level = levelOf(it->second - now, params_);
-            } else {
-                inflightD_.erase(it);
-            }
+        // Tag hit, but the fill may still be in flight (a late prefetch
+        // or an MSHR merge): pay the remaining time and count it as a
+        // demand miss.
+        if (Cycle remaining = pendingFill(l1, slot, now)) {
+            res.latency += remaining;
+            res.l1Miss = true;
+            ++miss;
+            ++merge;
+            res.level = levelOf(remaining, params_);
         }
     } else {
-        ++l1dMiss_;
+        ++miss;
         res.l1Miss = true;
-        Cycle beyond =
-            fillL1(l1d_, inflightD_, addr, write, true, false, now);
+        Cycle beyond = fillL1(l1, addr, write, true, false, now);
         res.latency += beyond;
         res.level = levelOf(beyond, params_);
     }
 
-    // Train the L1D prefetcher on every demand access.
-    if (l1dPrefetcher_) {
-        pfScratch_.clear();
-        l1dPrefetcher_->observe(ip, addr, hit, pfScratch_);
-        // Move candidates out: prefetchData reuses the scratch vector.
-        std::vector<Addr> cands;
-        cands.swap(pfScratch_);
-        for (Addr cand : cands)
-            prefetchData(cand, now);
+    // Train the L1D prefetcher on every demand data access.
+    if (!instr && l1dPrefetcher_) {
+        l1dCands_.clear();
+        l1dPrefetcher_->observe(ip, addr, hit, l1dCands_);
+        for (Addr cand : l1dCands_)
+            prefetchL1(l1d_, cand, now);
     }
     return res;
 }
@@ -207,40 +185,20 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
 bool
 MemoryHierarchy::prefetchInstr(Addr addr, Cycle now)
 {
-    Addr line = lineAddr(addr);
-    if (l1i_.probe(line))
-        return false;
-    auto it = inflightI_.find(line);
-    if (it != inflightI_.end() && it->second > now)
-        return false;
-    ++pfIssued_;
-    fillL1(l1i_, inflightI_, addr, false, false, true, now);
-    return true;
+    return prefetchL1(l1i_, addr, now);
 }
 
 bool
 MemoryHierarchy::prefetchData(Addr addr, Cycle now)
 {
-    Addr line = lineAddr(addr);
-    if (l1d_.probe(line))
-        return false;
-    auto it = inflightD_.find(line);
-    if (it != inflightD_.end() && it->second > now)
-        return false;
-    ++pfIssued_;
-    fillL1(l1d_, inflightD_, addr, false, false, true, now);
-    return true;
+    return prefetchL1(l1d_, addr, now);
 }
 
 bool
 MemoryHierarchy::probeL1I(Addr addr, Cycle now) const
 {
-    Addr line = lineAddr(addr);
-    if (l1i_.probe(line)) {
-        auto it = inflightI_.find(line);
-        return it == inflightI_.end() || it->second <= now;
-    }
-    return false;
+    std::size_t slot = l1i_.tags.probeSlot(addr);
+    return slot != Cache::kNoSlot && l1i_.readyAt[slot] <= now;
 }
 
 void

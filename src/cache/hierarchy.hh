@@ -6,6 +6,10 @@
  * in-flight line pay only the remaining time (an MSHR-hit).  Data
  * prefetchers (ip-stride at L1D, next-line at L2) and the instruction
  * prefetcher hook issue non-demand fills through the same machinery.
+ *
+ * The MSHR lives in the L1 tag arrays: each L1 way carries the cycle its
+ * fill lands (0 = none in flight), so one tag walk answers both "is the
+ * line here" and "is its fill done".
  */
 
 #ifndef TRB_CACHE_HIERARCHY_HH
@@ -13,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -110,26 +113,52 @@ class MemoryHierarchy
      */
     Cycle walkShared(Addr addr, bool write, bool demand, bool prefetched);
 
-    /** Start or join an in-flight fill; returns data-ready delay. */
-    Cycle fillL1(Cache &l1, std::unordered_map<Addr, Cycle> &inflight,
-                 Addr addr, bool write, bool demand, bool prefetched,
-                 Cycle now);
+    /**
+     * An L1: the tag array plus each way's fill-ready cycle.  A way
+     * with readyAt > now holds a line whose fill is still in flight.
+     */
+    struct L1
+    {
+        explicit L1(const CacheParams &params)
+            : tags(params), readyAt(tags.numSlots(), 0)
+        {}
 
-    static void cleanInflight(std::unordered_map<Addr, Cycle> &map,
-                              Cycle now);
+        Cache tags;
+        std::vector<Cycle> readyAt;     //!< per slot; 0 = no fill pending
+        std::size_t pending = 0;        //!< slots with readyAt != 0
+    };
+
+    /**
+     * Cycles until the fill of the resident line in @p slot lands, 0 if
+     * it has.  An access that sees the fill complete retires it, so a
+     * later access at an earlier @p now (loads issue, stores retire,
+     * fetches run ahead) no longer merges -- the MSHR entry is gone.
+     */
+    static Cycle pendingFill(L1 &l1, std::size_t slot, Cycle now);
+
+    /**
+     * Fill an absent line into @p l1 through the shared levels; the
+     * fill lands at now + the returned beyond-L1 delay.  The way it
+     * evicts takes its pending fill (if any) with it.
+     */
+    Cycle fillL1(L1 &l1, Addr addr, bool write, bool demand,
+                 bool prefetched, Cycle now);
+
+    /** A non-demand fill into @p l1 unless the line is resident. */
+    bool prefetchL1(L1 &l1, Addr addr, Cycle now);
 
     HierarchyParams params_;
-    Cache l1i_;
-    Cache l1d_;
+    L1 l1i_;
+    L1 l1d_;
     Cache l2_;
     Cache llc_;
 
-    std::unordered_map<Addr, Cycle> inflightI_;
-    std::unordered_map<Addr, Cycle> inflightD_;
-
     std::unique_ptr<DataPrefetcher> l1dPrefetcher_;
     std::unique_ptr<DataPrefetcher> l2Prefetcher_;
-    std::vector<Addr> pfScratch_;
+    /** Candidate buffers, one per prefetcher: L1D prefetches walk the
+     *  L2, and neither buffer gives up its capacity between accesses. */
+    std::vector<Addr> l1dCands_;
+    std::vector<Addr> l2Cands_;
 
     std::uint64_t l1iAcc_ = 0, l1iMiss_ = 0, l1iMshrMerge_ = 0;
     std::uint64_t l1dAcc_ = 0, l1dMiss_ = 0, l1dMshrMerge_ = 0;

@@ -17,13 +17,15 @@ namespace trb
 
 /**
  * An n-bit saturating up/down counter.  Counts in [0, 2^bits - 1];
- * taken() reports the upper half.
+ * taken() reports the upper half.  Two bytes, so predictor tables of
+ * them stay dense.
  */
 class SatCounter
 {
   public:
     explicit SatCounter(unsigned bits = 2, unsigned initial = 0)
-        : max_((1u << bits) - 1), value_(initial)
+        : max_(static_cast<std::uint8_t>((1u << bits) - 1)),
+          value_(static_cast<std::uint8_t>(initial))
     {
         trb_assert(bits >= 1 && bits <= 8, "SatCounter bits out of range");
         trb_assert(initial <= max_, "SatCounter initial value too large");
@@ -34,7 +36,11 @@ class SatCounter
     void update(bool up) { up ? increment() : decrement(); }
 
     /** Reset to weakly-not-taken / weakly-taken midpoints. */
-    void resetWeak(bool taken) { value_ = taken ? (max_ / 2 + 1) : max_ / 2; }
+    void
+    resetWeak(bool taken)
+    {
+        value_ = static_cast<std::uint8_t>(taken ? max_ / 2 + 1 : max_ / 2);
+    }
 
     unsigned value() const { return value_; }
     unsigned max() const { return max_; }
@@ -51,8 +57,8 @@ class SatCounter
     }
 
   private:
-    unsigned max_;
-    unsigned value_;
+    std::uint8_t max_;
+    std::uint8_t value_;
 };
 
 /**
@@ -63,10 +69,13 @@ class SignedSatCounter
 {
   public:
     explicit SignedSatCounter(unsigned bits = 3, int initial = 0)
-        : min_(-(1 << (bits - 1))), max_((1 << (bits - 1)) - 1),
-          value_(initial)
+        : min_(static_cast<std::int16_t>(-(1 << (bits - 1)))),
+          max_(static_cast<std::int16_t>((1 << (bits - 1)) - 1)),
+          value_(static_cast<std::int16_t>(initial))
     {
         trb_assert(bits >= 2 && bits <= 16, "SignedSatCounter bits");
+        trb_assert(initial >= min_ && initial <= max_,
+                   "SignedSatCounter initial value out of range");
     }
 
     void
@@ -84,9 +93,9 @@ class SignedSatCounter
     int max() const { return max_; }
 
   private:
-    int min_;
-    int max_;
-    int value_;
+    std::int16_t min_;
+    std::int16_t max_;
+    std::int16_t value_;
 };
 
 /**

@@ -157,6 +157,7 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
 
     std::array<Cycle, 256> reg_ready{};
     std::vector<Cycle> rob_retire(params_.robSize, 0);
+    std::size_t rob_idx = 0;    // i % robSize, kept by wrapping
     IssueRing issue_ring(params_.issueWidth);
 
     Cycle fetch_available = 0;
@@ -223,7 +224,7 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
 
         // ---- Dispatch: front-end depth and ROB occupancy. ----
         Cycle dispatch = f + params_.frontendDepth;
-        Cycle rob_slot_free = rob_retire[i % params_.robSize];
+        Cycle rob_slot_free = rob_retire[rob_idx];
         if (rob_slot_free > dispatch) {
             dispatch = rob_slot_free;
             ++raw_.robFullStalls;
@@ -236,21 +237,16 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
                 ready = std::max(ready, reg_ready[r]);
         Cycle issue = issue_ring.claim(ready);
 
-        // ---- Execute. ----
-        Cycle complete;
-        if (rec.isLoad()) {
-            Cycle lat = 0;
-            for (Addr a : rec.srcMem) {
-                if (a == 0)
-                    continue;
-                AccessResult res =
-                    mem_.access(AccessKind::Load, a, rec.ip, issue + 1);
-                lat = std::max(lat, res.latency);
-            }
-            complete = issue + 1 + lat;
-        } else {
-            complete = issue + 1;
+        // ---- Execute: a load (any memory source) waits for its data. ----
+        Cycle lat = 0;
+        for (Addr a : rec.srcMem) {
+            if (a == 0)
+                continue;
+            AccessResult res =
+                mem_.access(AccessKind::Load, a, rec.ip, issue + 1);
+            lat = std::max(lat, res.latency);
         }
+        Cycle complete = issue + 1 + lat;
 
         for (RegId r : rec.destRegs)
             if (r != 0)
@@ -308,14 +304,16 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
             retired_in_cycle = 0;
         last_retire = retire;
         ++retired_in_cycle;
-        rob_retire[i % params_.robSize] = retire;
+        rob_retire[rob_idx] = retire;
+        if (++rob_idx == rob_retire.size())
+            rob_idx = 0;
 
-        // Stores write the hierarchy at retirement (latency off the
-        // critical path, misses still counted).
-        if (rec.isStore())
-            for (Addr a : rec.destMem)
-                if (a != 0)
-                    mem_.access(AccessKind::Store, a, rec.ip, retire);
+        // Stores (any memory destination) write the hierarchy at
+        // retirement (latency off the critical path, misses still
+        // counted).
+        for (Addr a : rec.destMem)
+            if (a != 0)
+                mem_.access(AccessKind::Store, a, rec.ip, retire);
 
         if (tracer_) {
             obs::InstrEvent ev;

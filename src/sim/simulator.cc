@@ -135,28 +135,24 @@ runCore(ChampSimView trace, const SimRequest &req)
     return core.run(trace, warmup);
 }
 
+/** The SimStats memoized under @p stats_key; false on a miss. */
+bool
+loadStats(store::Store &st, const std::string &stats_key, SimStats &out)
+{
+    std::vector<std::uint64_t> bits;
+    return st.loadBits(stats_key, bits) && SimStats::fromBits(bits, out);
+}
+
 /**
- * Stats-memoized core run: serve the SimStats from @p st if present,
- * else simulate and publish.  @p from_store reports a hit.
+ * The core run behind a stats miss: simulate, then publish under
+ * @p stats_key.  The caller has already looked the key up once.
  */
 SimStats
-runCoreThroughStore(ChampSimView trace, const SimRequest &req,
-                    store::Store *st, const std::string &stats_key,
-                    bool &from_store)
+runAndPublish(ChampSimView trace, const SimRequest &req, store::Store &st,
+              const std::string &stats_key)
 {
-    from_store = false;
-    if (st) {
-        std::vector<std::uint64_t> bits;
-        SimStats stats;
-        if (st->loadBits(stats_key, bits) &&
-            SimStats::fromBits(bits, stats)) {
-            from_store = true;
-            return stats;
-        }
-    }
     SimStats stats = runCore(trace, req);
-    if (st)
-        st->putBits(stats_key, stats.toBits());
+    st.putBits(stats_key, stats.toBits());
     return stats;
 }
 
@@ -201,8 +197,9 @@ simulate(ChampSimView trace, const SimRequest &req)
     }
     std::string src = "cs:" + store::digestChampSimTrace(trace).hex();
     std::string stats_key = statsKeyString(src, req, resolveIprefId(req));
-    result.stats = runCoreThroughStore(trace, req, st, stats_key,
-                                       result.statsFromStore);
+    result.statsFromStore = loadStats(*st, stats_key, result.stats);
+    if (!result.statsFromStore)
+        result.stats = runAndPublish(trace, req, *st, stats_key);
     return result;
 }
 
@@ -220,10 +217,9 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
         trace_key = traceKeyString(cvp_digest, req.imps);
         stats_key = statsKeyString(trace_key, req, resolveIprefId(req));
 
-        // Fast path: the whole run is memoized.
-        std::vector<std::uint64_t> bits;
-        if (st->loadBits(stats_key, bits) &&
-            SimStats::fromBits(bits, result.stats)) {
+        // Fast path: the whole run is memoized.  This is the request's
+        // only stats lookup; the paths below run and publish.
+        if (loadStats(*st, stats_key, result.stats)) {
             result.statsFromStore = true;
             return result;
         }
@@ -242,9 +238,8 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
                 lint::maybeLintConverted(improvementSetName(req.imps),
                                          cvp, copy);
             }
-            result.stats = runCoreThroughStore(handle.view(), req, st,
-                                               stats_key,
-                                               result.statsFromStore);
+            result.stats =
+                runAndPublish(handle.view(), req, *st, stats_key);
             return result;
         }
     }
@@ -260,10 +255,12 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
         timer.setItems(trace.size());
         lint::maybeLintConverted(improvementSetName(req.imps), cvp, trace);
     }
-    if (st)
-        st->putTrace(trace_key, trace);
-    result.stats = runCoreThroughStore(trace, req, st, stats_key,
-                                       result.statsFromStore);
+    if (!st) {
+        result.stats = runCore(trace, req);
+        return result;
+    }
+    st->putTrace(trace_key, trace);
+    result.stats = runAndPublish(trace, req, *st, stats_key);
     return result;
 }
 

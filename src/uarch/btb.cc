@@ -12,19 +12,23 @@ Btb::Btb(std::size_t entries, unsigned ways) : ways_(ways)
     std::size_t sets = entries / ways;
     trb_assert((sets & (sets - 1)) == 0, "BTB set count must be power of 2");
     setMask_ = sets - 1;
-    entries_.assign(entries, Entry{});
+    tags_.assign(entries, kInvalidTag);
+    targets_.assign(entries, 0);
+    lru_.assign(entries, 0);
+    types_.assign(entries, BranchType::NotBranch);
 }
 
 BtbEntryView
 Btb::lookup(Addr pc)
 {
     ++lookups_;
-    Entry *set = &entries_[setIndex(pc) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(pc)) {
-            set[w].lru = ++clock_;
+    const std::size_t base = setBase(pc);
+    const Addr tag = tagOf(pc);
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        if (tags_[s] == tag) {
+            lru_[s] = ++clock_;
             ++hits_;
-            return {true, set[w].target, set[w].type};
+            return {true, targets_[s], types_[s]};
         }
     }
     return {};
@@ -33,25 +37,22 @@ Btb::lookup(Addr pc)
 void
 Btb::update(Addr pc, Addr target, BranchType type)
 {
-    Entry *set = &entries_[setIndex(pc) * ways_];
-    Entry *victim = &set[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(pc)) {
-            victim = &set[w];
+    // The matching entry, else the first empty one, else the LRU one.
+    const std::size_t base = setBase(pc);
+    const Addr tag = tagOf(pc);
+    std::size_t victim = base;
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        if (tags_[s] == tag || tags_[s] == kInvalidTag) {
+            victim = s;
             break;
         }
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lru < victim->lru)
-            victim = &set[w];
+        if (lru_[s] < lru_[victim])
+            victim = s;
     }
-    victim->valid = true;
-    victim->tag = tagOf(pc);
-    victim->target = target;
-    victim->type = type;
-    victim->lru = ++clock_;
+    tags_[victim] = tag;
+    targets_[victim] = target;
+    types_[victim] = type;
+    lru_[victim] = ++clock_;
 }
 
 } // namespace trb

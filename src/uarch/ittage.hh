@@ -50,10 +50,11 @@ class Ittage
     void pushHistoryBit(bool bit);
 
   private:
+    /** 16 bytes: the target first, so no field pads. */
     struct Entry
     {
-        std::uint16_t tag = 0;
         Addr target = 0;
+        std::uint16_t tag = 0;
         SatCounter confidence{2, 0};
         SatCounter useful{1, 0};
     };
@@ -77,6 +78,7 @@ class Ittage
     std::vector<FoldedHistory> tagFold_;
     std::vector<std::uint8_t> history_;
     std::size_t histHead_ = 0;
+    std::size_t histMask_ = 0;     //!< history_.size() - 1
 
     Prediction last_;
     Rng rng_{0x17746e};

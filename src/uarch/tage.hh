@@ -98,8 +98,13 @@ class TageScL : public DirectionPredictor
 
     std::vector<std::uint8_t> history_;   //!< circular global history
     std::size_t histHead_ = 0;
+    std::size_t histMask_ = 0;     //!< history_.size() - 1
 
     SignedSatCounter useAltOnNa_{4, 0};
+    /// Power-of-two table sizes, so their indexing modulo is a mask.
+    static constexpr std::size_t kScEntries = 1024;
+    static constexpr std::size_t kLoopEntries = 256;
+
     std::vector<SignedSatCounter> scTable_;
     SignedSatCounter scThreshold_{6, 0};
 

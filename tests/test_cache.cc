@@ -31,12 +31,13 @@ tiny(const char *name, std::size_t bytes, unsigned ways,
 TEST(Cache, HitAfterInsert)
 {
     Cache c(tiny("t", 4096, 4));
-    Addr victim = 0;
     EXPECT_FALSE(c.access(0x1000, false));
-    c.insert(0x1000, false, false, victim);
+    std::size_t slot = c.insert(0x1000, false, false);
+    EXPECT_EQ(c.probeSlot(0x1000), slot);
+    EXPECT_EQ(c.accessSlot(0x103f, false), slot);   // same line
     EXPECT_TRUE(c.access(0x1000, false));
-    EXPECT_TRUE(c.access(0x103f, false));   // same line
     EXPECT_FALSE(c.access(0x1040, false));  // next line
+    EXPECT_EQ(c.probeSlot(0x1040), Cache::kNoSlot);
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_EQ(c.accesses(), 4u);
 }
@@ -47,12 +48,15 @@ TEST(Cache, LruEviction)
     Cache c(tiny("t", 8 * 64, 2));
     ASSERT_EQ(c.numSets(), 4u);
     Addr stride = 4 * 64;
-    Addr victim = 0;
-    c.insert(0x0, false, false, victim);
-    c.insert(stride, false, false, victim);
+    Eviction ev;
+    c.insert(0x0, false, false, &ev);
+    EXPECT_FALSE(ev.valid);                 // a free way, no victim
+    c.insert(stride, false, false, &ev);
+    EXPECT_FALSE(ev.valid);
     EXPECT_TRUE(c.access(0x0, false));      // refresh line 0
-    c.insert(2 * stride, false, false, victim);
-    EXPECT_EQ(victim, stride);              // LRU was the middle one
+    c.insert(2 * stride, false, false, &ev);
+    EXPECT_TRUE(ev.valid);
+    EXPECT_EQ(ev.addr, stride);             // LRU was the middle one
     EXPECT_TRUE(c.probe(0x0));
     EXPECT_FALSE(c.probe(stride));
 }
@@ -60,21 +64,24 @@ TEST(Cache, LruEviction)
 TEST(Cache, DirtyWritebackSignalled)
 {
     Cache c(tiny("t", 2 * 64, 1));
-    Addr victim = 0;
-    c.insert(0x0, true, false, victim);     // dirty line, set 0
-    bool wb = c.insert(2 * 64, false, false, victim);   // same set
-    EXPECT_TRUE(wb);
-    EXPECT_EQ(victim, 0u);
+    Eviction ev;
+    c.insert(0x0, true, false, &ev);        // dirty line, set 0
+    c.insert(2 * 64, false, false, &ev);    // same set
+    EXPECT_TRUE(ev.dirty);
+    // The victim is the line at address 0, told apart from "no victim".
+    EXPECT_TRUE(ev.valid);
+    EXPECT_EQ(ev.addr, 0u);
     EXPECT_EQ(c.writebacks(), 1u);
 }
 
 TEST(Cache, WriteMarksDirty)
 {
     Cache c(tiny("t", 2 * 64, 1));
-    Addr victim = 0;
-    c.insert(0x0, false, false, victim);
+    Eviction ev;
+    c.insert(0x0, false, false);
     EXPECT_TRUE(c.access(0x0, true));       // write hit dirties the line
-    EXPECT_TRUE(c.insert(2 * 64, false, false, victim));
+    c.insert(2 * 64, false, false, &ev);
+    EXPECT_TRUE(ev.dirty);
 }
 
 TEST(Cache, SrripPrefetchInsertedDistant)
@@ -82,25 +89,42 @@ TEST(Cache, SrripPrefetchInsertedDistant)
     // SRRIP: prefetched lines insert at distant RRPV and get evicted
     // before demand lines that have been reused.
     Cache c(tiny("t", 4 * 64, 4, ReplPolicy::Srrip));
-    Addr victim = 0;
-    c.insert(0 * 4 * 64, false, false, victim);
+    Eviction ev;
+    c.insert(0 * 4 * 64, false, false);
     c.access(0, false);                     // promote to RRPV 0
-    c.insert(1 * 4 * 64, false, true, victim);   // prefetch: RRPV 3
-    c.insert(2 * 4 * 64, false, false, victim);
-    c.insert(3 * 4 * 64, false, false, victim);
-    c.insert(4 * 4 * 64, false, false, victim);  // needs a victim
-    EXPECT_EQ(victim, 1u * 4 * 64);         // the prefetched line goes
+    c.insert(1 * 4 * 64, false, true);      // prefetch: RRPV 3
+    c.insert(2 * 4 * 64, false, false);
+    c.insert(3 * 4 * 64, false, false);
+    c.insert(4 * 4 * 64, false, false, &ev);    // needs a victim
+    EXPECT_EQ(ev.addr, 1u * 4 * 64);        // the prefetched line goes
     EXPECT_TRUE(c.probe(0));
 }
 
 TEST(Cache, InvalidateReportsDirty)
 {
     Cache c(tiny("t", 4096, 4));
-    Addr victim = 0;
-    c.insert(0x1000, true, false, victim);
+    c.insert(0x1000, true, false);
     EXPECT_TRUE(c.invalidate(0x1000));
     EXPECT_FALSE(c.probe(0x1000));
     EXPECT_FALSE(c.invalidate(0x1000));
+}
+
+TEST(Cache, LruPrefersFreeWayAfterInvalidate)
+{
+    // One set of 4 ways: a way freed by invalidate is refilled before
+    // the LRU line is evicted.
+    Cache c(tiny("t", 4 * 64, 4));
+    for (Addr a = 0; a < 4; ++a)
+        c.insert(a * 64, false, false);
+    ASSERT_EQ(c.numSets(), 1u);
+    std::size_t freed = c.probeSlot(2 * 64);
+    EXPECT_FALSE(c.invalidate(2 * 64));
+    Eviction ev;
+    EXPECT_EQ(c.insert(9 * 64, false, false, &ev), freed);
+    EXPECT_FALSE(ev.valid);
+    c.insert(10 * 64, false, false, &ev);
+    EXPECT_TRUE(ev.valid);
+    EXPECT_EQ(ev.addr, 0u);                 // now the oldest line goes
 }
 
 // ---------------------------------------------------------------------
@@ -161,9 +185,24 @@ TEST(Hierarchy, InflightMergePaysRemainingLatency)
     // A second access 50 cycles later merges with the outstanding fill.
     auto r2 = mh.access(AccessKind::Load, 0x300040 - 64, 0x400004, 150);
     EXPECT_EQ(r2.latency, 5u + (100 + (r1.latency - 5) - 150));
+    // The merge is a demand miss at the level still filling, and walks
+    // nothing.
+    EXPECT_TRUE(r2.l1Miss);
+    EXPECT_EQ(r2.level, 4u);
+    EXPECT_EQ(mh.l1dMshrMerges(), 1u);
+    EXPECT_EQ(mh.l1dMisses(), 2u);
+    EXPECT_EQ(mh.l2Accesses(), 1u);
     // Long after completion: plain hit.
     auto r3 = mh.access(AccessKind::Load, 0x300000, 0x400000, 100000);
     EXPECT_EQ(r3.latency, 5u);
+
+    // A fetch on the cycle its fill lands no longer merges.
+    auto i1 = mh.access(AccessKind::Instr, 0x500000, 0, 0);
+    mh.access(AccessKind::Instr, 0x500000, 0, i1.latency - 4);
+    EXPECT_EQ(mh.l1iMshrMerges(), 0u);
+    mh.access(AccessKind::Instr, 0x540000, 0, 0);
+    mh.access(AccessKind::Instr, 0x540000, 0, 1);
+    EXPECT_EQ(mh.l1iMshrMerges(), 1u);
 }
 
 TEST(Hierarchy, InstrAndDataPathsSeparate)
@@ -200,6 +239,95 @@ TEST(Hierarchy, ProbeL1IRespectsInflight)
     mh.prefetchInstr(0x600000, 0);
     EXPECT_FALSE(mh.probeL1I(0x600000, 1));        // still in flight
     EXPECT_TRUE(mh.probeL1I(0x600000, 100000));    // fill done
+
+    // The same for a demand fill, up to the cycle it lands; a probe
+    // retires nothing, so an early demand access still merges.
+    auto r = mh.access(AccessKind::Instr, 0x640000, 0, 0);
+    Cycle lands = r.latency - 4;
+    EXPECT_FALSE(mh.probeL1I(0x640000, lands - 1));
+    EXPECT_TRUE(mh.probeL1I(0x640000, lands));
+    EXPECT_TRUE(mh.access(AccessKind::Instr, 0x640000, 0, 1).l1Miss);
+    EXPECT_EQ(mh.l1iMshrMerges(), 1u);
+}
+
+// The MSHR is folded into the L1 tag arrays; these pin the semantics
+// the fold keeps.
+
+TEST(Hierarchy, CompletedFillRetiresForEarlierAccesses)
+{
+    // Accesses do not arrive in cycle order: loads at issue, stores at
+    // retire, fetches at fetch.  Once one access has seen a fill land,
+    // the MSHR entry is gone, even for a later access at an earlier
+    // cycle.
+    MemoryHierarchy mh(smallHierarchy());
+    mh.access(AccessKind::Load, 0x300000, 0x400000, 0);     // lands at 219
+    auto late = mh.access(AccessKind::Store, 0x300000, 0x400000, 1000);
+    EXPECT_FALSE(late.l1Miss);
+    auto early = mh.access(AccessKind::Load, 0x300000, 0x400000, 10);
+    EXPECT_FALSE(early.l1Miss);
+    EXPECT_EQ(early.latency, 5u);
+    EXPECT_EQ(mh.l1dMshrMerges(), 0u);
+
+    // Without the completing access in between, the early one merges.
+    mh.access(AccessKind::Load, 0x310000, 0x400000, 0);
+    auto merged = mh.access(AccessKind::Load, 0x310000, 0x400000, 10);
+    EXPECT_TRUE(merged.l1Miss);
+    EXPECT_EQ(mh.l1dMshrMerges(), 1u);
+}
+
+TEST(Hierarchy, PrefetchOfResidentLineIssuesNothing)
+{
+    MemoryHierarchy mh(smallHierarchy());
+    mh.access(AccessKind::Instr, 0x700000, 0, 0);
+    mh.access(AccessKind::Load, 0x800000, 0x400000, 0);
+    // In flight ...
+    EXPECT_FALSE(mh.prefetchInstr(0x700000, 1));
+    EXPECT_FALSE(mh.prefetchData(0x800010, 1));
+    // ... and landed.
+    EXPECT_FALSE(mh.prefetchInstr(0x700020, 100000));
+    EXPECT_FALSE(mh.prefetchData(0x800000, 100000));
+    EXPECT_EQ(mh.prefetchesIssued(), 0u);
+    EXPECT_EQ(mh.l2Accesses(), 2u);
+    EXPECT_TRUE(mh.prefetchData(0x900000, 100000));
+    EXPECT_EQ(mh.prefetchesIssued(), 1u);
+}
+
+TEST(Hierarchy, EvictionDropsPendingFill)
+{
+    // L1D: 16 sets x 4 ways, so lines 1 KiB apart share a set.  Evict a
+    // line while its fill is in flight; the re-fetch is a fresh L2 hit,
+    // not a merge with the dropped fill.  Line 0 is included: it used
+    // to be indistinguishable from "no victim".
+    for (Addr base : {Addr{0}, Addr{0x40000}}) {
+        MemoryHierarchy mh(smallHierarchy());
+        mh.access(AccessKind::Load, base, 0x400000, 0);     // lands at 219
+        for (Addr k = 1; k <= 4; ++k)
+            mh.access(AccessKind::Load, base + k * 1024, 0x400000, k);
+        auto again = mh.access(AccessKind::Load, base, 0x400000, 5);
+        EXPECT_EQ(again.latency, 5u + 10) << "line " << base;
+        EXPECT_EQ(again.level, 2u) << "line " << base;
+        EXPECT_EQ(mh.l1dMshrMerges(), 0u) << "line " << base;
+        EXPECT_EQ(mh.l2Accesses(), 6u) << "line " << base;
+    }
+}
+
+TEST(Hierarchy, OutsizedL1SweepsCompletedFillsAt4096)
+{
+    // 4096 pending fills trigger a sweep of the completed ones.  A
+    // swept fill no longer merges an access at an earlier cycle; one
+    // short of the threshold, it still does.
+    for (Addr extra : {Addr{4094}, Addr{4095}}) {
+        HierarchyParams p = smallHierarchy();
+        p.l1d = tiny("L1D", 4096 * 64, 4);
+        p.l1d.latency = 5;
+        MemoryHierarchy mh(p);
+        mh.access(AccessKind::Load, 0, 0x400000, 0);        // lands at 219
+        for (Addr k = 1; k <= extra; ++k)
+            mh.access(AccessKind::Load, k * 64, 0x400000, 1000);
+        auto early = mh.access(AccessKind::Load, 0, 0x400000, 100);
+        EXPECT_EQ(early.l1Miss, extra == 4094) << extra;
+        EXPECT_EQ(mh.l1dMshrMerges(), extra == 4094 ? 1u : 0u) << extra;
+    }
 }
 
 TEST(Hierarchy, IpStridePrefetcherCutsMisses)

@@ -374,6 +374,41 @@ TEST_F(StoreTest, SimulateBitIdenticalColdWarmDisabled)
     EXPECT_EQ(bypass.stats.toBits(), warm.stats.toBits());
 }
 
+TEST_F(StoreTest, SimulateLooksStatsUpOnce)
+{
+    // A request probes its stats key once: cold = stats miss + trace
+    // miss, trace-only hit = stats miss + trace hit, warm = stats hit.
+    CvpTrace cvp = TraceGenerator(serverParams(13)).generate(3000);
+    store::Store::setDirForTesting(dir_);
+
+    std::uint64_t hits = counter("store.hits");
+    std::uint64_t misses = counter("store.misses");
+    SimResult cold = simulate(cvp, {.imps = kImpNone});
+    EXPECT_FALSE(cold.traceFromStore);
+    EXPECT_EQ(counter("store.misses"), misses + 2);
+    EXPECT_EQ(counter("store.hits"), hits);
+
+    misses = counter("store.misses");
+    SimResult trace_hit =
+        simulate(cvp, {.imps = kImpNone, .warmupFraction = 0.5});
+    EXPECT_TRUE(trace_hit.traceFromStore);
+    EXPECT_EQ(counter("store.misses"), misses + 1);
+    EXPECT_EQ(counter("store.hits"), hits + 1);
+
+    misses = counter("store.misses");
+    SimResult warm = simulate(cvp, {.imps = kImpNone});
+    EXPECT_TRUE(warm.statsFromStore);
+    EXPECT_EQ(counter("store.misses"), misses);
+    EXPECT_EQ(counter("store.hits"), hits + 2);
+    EXPECT_EQ(cold.stats.toBits(), warm.stats.toBits());
+
+    // The ChampSim entry point probes once too.
+    ChampSimTrace trace = Cvp2ChampSim(kImpNone).convert(cvp);
+    misses = counter("store.misses");
+    simulate(ChampSimView(trace), {});
+    EXPECT_EQ(counter("store.misses"), misses + 1);
+}
+
 TEST_F(StoreTest, SimulateKeySeparatesConfigurations)
 {
     CvpTrace cvp = TraceGenerator(serverParams(5)).generate(4000);

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/counters.hh"
 #include "common/rng.hh"
 #include "uarch/btb.hh"
 #include "uarch/direction_pred.hh"
@@ -201,6 +202,60 @@ TEST(Ittage, ConditionalHistoryDisambiguates)
         pred.update(0x5000, target);
     }
     EXPECT_GT(static_cast<double>(correct) / total, 0.85);
+}
+
+// The counters are stored narrow (uint8_t / int16_t); their widest
+// settings must still saturate exactly at the ends of the range.
+
+TEST(Counters, SatCounterWidestSaturates)
+{
+    SatCounter c(8, 0);
+    EXPECT_EQ(c.max(), 255u);
+    for (int i = 0; i < 300; ++i)
+        c.increment();
+    EXPECT_EQ(c.value(), 255u);
+    EXPECT_TRUE(c.saturatedHigh());
+    EXPECT_TRUE(c.taken());
+    EXPECT_EQ(c.confidence(), 127u);
+    for (int i = 0; i < 300; ++i)
+        c.update(false);
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_TRUE(c.saturatedLow());
+    EXPECT_EQ(c.confidence(), 127u);
+    c.resetWeak(true);
+    EXPECT_EQ(c.value(), 128u);
+    EXPECT_EQ(SatCounter(8, 255).value(), 255u);
+}
+
+TEST(Counters, SignedSatCounterWidestSaturates)
+{
+    SignedSatCounter c(16, 0);
+    EXPECT_EQ(c.min(), -32768);
+    EXPECT_EQ(c.max(), 32767);
+    for (int i = 0; i < 40000; ++i)
+        c.update(true);
+    EXPECT_EQ(c.value(), 32767);
+    EXPECT_TRUE(c.positive());
+    for (int i = 0; i < 70000; ++i)
+        c.update(false);
+    EXPECT_EQ(c.value(), -32768);
+    EXPECT_FALSE(c.positive());
+    c.update(true);
+    EXPECT_EQ(c.value(), -32767);
+    EXPECT_EQ(SignedSatCounter(16, -32768).value(), -32768);
+}
+
+TEST(Btb, PcZeroIsAnOrdinaryEntry)
+{
+    // An empty entry is marked by its tag, not by tag 0: the branch at
+    // pc 0 misses in a fresh BTB and hits once installed.
+    Btb btb(64, 4);
+    EXPECT_FALSE(btb.lookup(0).hit);
+    btb.update(0, 0x40, BranchType::DirectJump);
+    auto view = btb.lookup(0);
+    EXPECT_TRUE(view.hit);
+    EXPECT_EQ(view.target, 0x40u);
+    EXPECT_EQ(btb.hits(), 1u);
 }
 
 TEST(Btb, HitAfterUpdate)
