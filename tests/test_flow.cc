@@ -252,6 +252,15 @@ struct FixtureCase
     const char *rule;
 };
 
+// gtest lists a parameter without a printer by its raw bytes; here those
+// are two pointers whose values move with every load, so the listed test
+// names would too.  Print the rule so the names stay the same from run to
+// run.
+void PrintTo(const FixtureCase &fc, std::ostream *os)
+{
+    *os << fc.rule;
+}
+
 class CfgFixture : public ::testing::TestWithParam<FixtureCase>
 {
 };
