@@ -185,13 +185,13 @@ BM_CoreSimulationCancelPoll(benchmark::State &state)
 }
 BENCHMARK(BM_CoreSimulationCancelPoll);
 
-// --- Contended metrics updates: the three concurrency strategies. ---
+// --- Contended metrics updates: the two concurrency strategies. ---
 //
 // The experiment harness updates the metrics registry from every worker
-// thread.  These benchmarks compare the write-side cost of the three
+// thread.  These benchmarks compare the write-side cost of the two
 // options trb::obs offers under 1/4/8 threads hammering the same
-// registry: a single internal mutex, 16-way sharding by path hash, and
-// per-thread buffering with one flush at the end.
+// registry: a single internal mutex, and per-thread buffering with one
+// flush at the end.
 
 void
 BM_MetricsLockedAdd(benchmark::State &state)
@@ -204,18 +204,6 @@ BM_MetricsLockedAdd(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsLockedAdd)->Threads(1)->Threads(4)->Threads(8);
-
-void
-BM_MetricsShardedAdd(benchmark::State &state)
-{
-    static obs::ShardedMetricsRegistry registry;
-    const std::string path =
-        "bench.sharded.t" + std::to_string(state.thread_index());
-    for (auto _ : state)
-        registry.addCounter(path, 1);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsShardedAdd)->Threads(1)->Threads(4)->Threads(8);
 
 void
 BM_MetricsThreadBuffer(benchmark::State &state)

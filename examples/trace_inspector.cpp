@@ -9,7 +9,8 @@
  *   trace_inspector -f <file.cvp[.gz]>   # inspect a trace file
  *
  * Also demonstrates the file round-trip: the generated trace is written
- * to a temporary .gz file and re-read through the streaming reader.
+ * to a temporary .gz file and re-read through the streaming reader.  An
+ * unreadable or unwritable trace prints its Status and exits 2.
  */
 
 #include <cstdio>
@@ -17,9 +18,11 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "convert/cvp2champsim.hh"
 #include "synth/generator.hh"
+#include "trace/cvp_trace.hh"
 #include "trace/trace_stats.hh"
 
 int
@@ -32,7 +35,13 @@ main(int argc, char **argv)
 
     if (argc >= 3 && std::strcmp(argv[1], "-f") == 0) {
         label = argv[2];
-        trace = readCvpTrace(argv[2]);
+        Expected<CvpTrace> read = tryReadCvpTrace(argv[2]);
+        if (!read.ok()) {
+            std::fprintf(stderr, "trace_inspector: %s\n",
+                         read.status().toString().c_str());
+            return 2;
+        }
+        trace = std::move(read).value();
     } else {
         std::string preset = argc >= 2 ? argv[1] : "server";
         std::uint64_t length =
@@ -60,12 +69,20 @@ main(int argc, char **argv)
         // Round-trip through a gz file, exercising the I/O layer.
         auto path = std::filesystem::temp_directory_path() /
                     "trb_inspect.cvp.gz";
-        writeCvpTrace(path.string(), trace);
-        CvpTrace back = readCvpTrace(path.string());
-        std::printf("round-trip through %s: %zu records, %s\n\n",
-                    path.string().c_str(), back.size(),
-                    back.size() == trace.size() ? "ok" : "MISMATCH");
+        Status wrote = tryWriteCvpTrace(path.string(), trace);
+        Expected<CvpTrace> back = wrote.ok()
+                                      ? tryReadCvpTrace(path.string())
+                                      : Expected<CvpTrace>(wrote);
         std::filesystem::remove(path);
+        if (!back.ok()) {
+            std::fprintf(stderr, "trace_inspector: %s\n",
+                         back.status().toString().c_str());
+            return 2;
+        }
+        std::printf("round-trip through %s: %zu records, %s\n\n",
+                    path.string().c_str(), back.value().size(),
+                    back.value().size() == trace.size() ? "ok"
+                                                        : "MISMATCH");
     }
 
     std::printf("=== CVP-1 characterisation of '%s' ===\n%s\n",

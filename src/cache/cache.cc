@@ -15,7 +15,6 @@ Cache::Cache(const CacheParams &params) : params_(params)
                "cache set count must be a power of two: ", params.name);
     setMask_ = sets_ - 1;
     tags_.assign(lines, kInvalidTag);
-    dirty_.assign(lines, 0);
     // Each policy keeps only its own replacement state.
     if (params.policy == ReplPolicy::Lru)
         lru_.assign(lines, 0);
@@ -35,7 +34,7 @@ Cache::probeSlot(Addr addr) const
 }
 
 std::size_t
-Cache::accessSlot(Addr addr, bool write)
+Cache::accessSlot(Addr addr)
 {
     ++accesses_;
     std::size_t s = probeSlot(addr);
@@ -44,8 +43,6 @@ Cache::accessSlot(Addr addr, bool write)
         return kNoSlot;
     }
     touch(s, 0);
-    if (write)
-        dirty_[s] = 1;
     return s;
 }
 
@@ -83,7 +80,7 @@ Cache::pickVictim(std::size_t base)
 }
 
 std::size_t
-Cache::insert(Addr addr, bool write, bool prefetched, Eviction *evicted)
+Cache::insert(Addr addr, bool prefetched, Eviction *evicted)
 {
 #ifndef NDEBUG
     trb_assert(probeSlot(addr) == kNoSlot,
@@ -94,29 +91,21 @@ Cache::insert(Addr addr, bool write, bool prefetched, Eviction *evicted)
     Eviction ev;
     if (tags_[s] != kInvalidTag) {
         ev.valid = true;
-        ev.dirty = dirty_[s] != 0;
         ev.addr = tags_[s] * kLineBytes;
-        if (ev.dirty)
-            ++writebacks_;
     }
     if (evicted)
         *evicted = ev;
     tags_[s] = tagOf(addr);
-    dirty_[s] = write;
     touch(s, prefetched ? 3 : 2);
     return s;
 }
 
-bool
+void
 Cache::invalidate(Addr addr)
 {
     std::size_t s = probeSlot(addr);
-    if (s == kNoSlot)
-        return false;
-    bool dirty = dirty_[s] != 0;
-    tags_[s] = kInvalidTag;
-    dirty_[s] = 0;
-    return dirty;
+    if (s != kNoSlot)
+        tags_[s] = kInvalidTag;
 }
 
 } // namespace trb

@@ -38,16 +38,15 @@ struct CacheParams
 struct Eviction
 {
     bool valid = false;     //!< a valid line was evicted (else a free way)
-    bool dirty = false;     //!< ... and it was dirty (writeback needed)
     Addr addr = 0;          //!< its line address; meaningful iff valid
 };
 
 /**
  * Tag-array cache with LRU/SRRIP replacement.  The arrays are laid out
- * struct-of-arrays (tags, recency stamps, RRPVs, dirty bits), so the
- * tag walk of one set reads only the tags, 8 bytes a way.  A way is
- * named by its slot, set * ways + way, which the hierarchy uses to
- * index per-way state of its own.
+ * struct-of-arrays (tags, recency stamps, RRPVs), so the tag walk of
+ * one set reads only the tags, 8 bytes a way.  A way is named by its
+ * slot, set * ways + way, which the hierarchy uses to index per-way
+ * state of its own.
  */
 class Cache
 {
@@ -61,17 +60,13 @@ class Cache
      * Demand access to the line containing @p addr.
      * @return the slot it hit (recency/RRPV updated), or kNoSlot.
      */
-    std::size_t accessSlot(Addr addr, bool write);
+    std::size_t accessSlot(Addr addr);
 
     /** The line's slot, or kNoSlot (no replacement state update). */
     std::size_t probeSlot(Addr addr) const;
 
     /** accessSlot() as a hit flag. */
-    bool
-    access(Addr addr, bool write)
-    {
-        return accessSlot(addr, write) != kNoSlot;
-    }
+    bool access(Addr addr) { return accessSlot(addr) != kNoSlot; }
 
     /** True if the line is present (no replacement state update). */
     bool probe(Addr addr) const { return probeSlot(addr) != kNoSlot; }
@@ -83,11 +78,11 @@ class Cache
      * @param[out] evicted what the fill displaced, if @p evicted is set
      * @return the slot the line now occupies
      */
-    std::size_t insert(Addr addr, bool write, bool prefetched,
+    std::size_t insert(Addr addr, bool prefetched,
                        Eviction *evicted = nullptr);
 
-    /** Invalidate the line if present; returns true if it was dirty. */
-    bool invalidate(Addr addr);
+    /** Invalidate the line if present. */
+    void invalidate(Addr addr);
 
     const CacheParams &params() const { return params_; }
     std::size_t numSets() const { return sets_; }
@@ -97,7 +92,6 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t insertions() const { return insertions_; }
-    std::uint64_t writebacks() const { return writebacks_; }
 
   private:
     /** Tag of an invalid way: no line number reaches it. */
@@ -125,7 +119,6 @@ class Cache
     std::size_t sets_;
     std::size_t setMask_;
     std::vector<Addr> tags_;            //!< per slot; kInvalidTag = empty
-    std::vector<std::uint8_t> dirty_;
     std::vector<std::uint64_t> lru_;    //!< recency stamp (LRU only)
     std::vector<std::uint8_t> rrpv_;    //!< re-reference (SRRIP only)
     std::uint64_t clock_ = 0;
@@ -133,7 +126,6 @@ class Cache
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t insertions_ = 0;
-    std::uint64_t writebacks_ = 0;
 };
 
 } // namespace trb

@@ -41,15 +41,14 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 }
 
 Cycle
-MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
-                            bool prefetched)
+MemoryHierarchy::walkShared(Addr addr, bool demand, bool prefetched)
 {
     Addr line = lineAddr(addr);
 
     bool l2_hit;
     if (demand) {
         ++l2Acc_;
-        l2_hit = l2_.access(line, false);
+        l2_hit = l2_.access(line);
         if (!l2_hit)
             ++l2Miss_;
     } else {
@@ -65,8 +64,8 @@ MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
             if (!l2_.probe(cand) && !llc_.probe(cand)) {
                 ++pfIssued_;
                 // Next-line fill: bring into L2 (and LLC) quietly.
-                llc_.insert(cand, false, true);
-                l2_.insert(cand, false, true);
+                llc_.insert(cand, true);
+                l2_.insert(cand, true);
             }
         }
     }
@@ -77,19 +76,19 @@ MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
     Cycle lat = params_.l2.latency;
     if (demand) {
         ++llcAcc_;
-        if (llc_.access(line, false)) {
-            l2_.insert(line, false, prefetched);
+        if (llc_.access(line)) {
+            l2_.insert(line, prefetched);
             return lat + params_.llc.latency;
         }
         ++llcMiss_;
     } else if (llc_.probe(line)) {
-        l2_.insert(line, false, prefetched);
+        l2_.insert(line, prefetched);
         return lat + params_.llc.latency;
     }
 
     // DRAM.
-    llc_.insert(line, write, prefetched);
-    l2_.insert(line, false, prefetched);
+    llc_.insert(line, prefetched);
+    l2_.insert(line, prefetched);
     return lat + params_.llc.latency + params_.dramLatency;
 }
 
@@ -107,11 +106,11 @@ MemoryHierarchy::pendingFill(L1 &l1, std::size_t slot, Cycle now)
 }
 
 Cycle
-MemoryHierarchy::fillL1(L1 &l1, Addr addr, bool write, bool demand,
-                        bool prefetched, Cycle now)
+MemoryHierarchy::fillL1(L1 &l1, Addr addr, bool demand, bool prefetched,
+                        Cycle now)
 {
-    Cycle beyond = walkShared(addr, write, demand, prefetched);
-    std::size_t slot = l1.tags.insert(lineAddr(addr), write, prefetched);
+    Cycle beyond = walkShared(addr, demand, prefetched);
+    std::size_t slot = l1.tags.insert(lineAddr(addr), prefetched);
     // The evicted way's pending fill, if any, goes with it.
     Cycle &ready = l1.readyAt[slot];
     l1.pending -= ready != 0;
@@ -134,7 +133,7 @@ MemoryHierarchy::prefetchL1(L1 &l1, Addr addr, Cycle now)
     if (l1.tags.probe(lineAddr(addr)))
         return false;
     ++pfIssued_;
-    fillL1(l1, addr, false, false, true, now);
+    fillL1(l1, addr, false, true, now);
     return true;
 }
 
@@ -143,7 +142,6 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
 {
     AccessResult res;
     const bool instr = kind == AccessKind::Instr;
-    const bool write = kind == AccessKind::Store;
     L1 &l1 = instr ? l1i_ : l1d_;
     std::uint64_t &acc = instr ? l1iAcc_ : l1dAcc_;
     std::uint64_t &miss = instr ? l1iMiss_ : l1dMiss_;
@@ -151,7 +149,7 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
 
     ++acc;
     res.latency = instr ? params_.l1i.latency : params_.l1d.latency;
-    std::size_t slot = l1.tags.accessSlot(addr, write);
+    std::size_t slot = l1.tags.accessSlot(addr);
     const bool hit = slot != Cache::kNoSlot;
     if (hit) {
         // Tag hit, but the fill may still be in flight (a late prefetch
@@ -167,7 +165,7 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
     } else {
         ++miss;
         res.l1Miss = true;
-        Cycle beyond = fillL1(l1, addr, write, true, false, now);
+        Cycle beyond = fillL1(l1, addr, true, false, now);
         res.latency += beyond;
         res.level = levelOf(beyond, params_);
     }

@@ -111,7 +111,7 @@ class MemoryHierarchy
      * levels on the way back.
      * @return cumulative latency beyond the L1 access.
      */
-    Cycle walkShared(Addr addr, bool write, bool demand, bool prefetched);
+    Cycle walkShared(Addr addr, bool demand, bool prefetched);
 
     /**
      * An L1: the tag array plus each way's fill-ready cycle.  A way
@@ -141,8 +141,8 @@ class MemoryHierarchy
      * fill lands at now + the returned beyond-L1 delay.  The way it
      * evicts takes its pending fill (if any) with it.
      */
-    Cycle fillL1(L1 &l1, Addr addr, bool write, bool demand,
-                 bool prefetched, Cycle now);
+    Cycle fillL1(L1 &l1, Addr addr, bool demand, bool prefetched,
+                 Cycle now);
 
     /** A non-demand fill into @p l1 unless the line is resident. */
     bool prefetchL1(L1 &l1, Addr addr, Cycle now);

@@ -16,7 +16,6 @@ registry()
     // Alphabetical; every entry must have a row in docs/env-vars.md
     // (enforced by `trace_lint --selftest` and tests/test_common.cc).
     static const std::vector<VarInfo> vars = {
-        {"TRB_CHECKPOINT", "crash-safe sweep manifest path (resume)"},
         {"TRB_FAILURE_REPORT", "write the quarantine report JSON here"},
         {"TRB_FAULT", "deterministic fault injection spec (kind:rate,...)"},
         {"TRB_FAULT_SEED", "seed for the fault-injection draw"},

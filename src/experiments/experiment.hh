@@ -100,13 +100,13 @@ struct DeltaSeries
  * series (and @p baseline_out) are bit-identical for every TRB_JOBS
  * value.
  *
- * Failure policy and resume (PR 4): quarantined traces (see
- * forEachTrace()) leave NaN ratios and default baseline stats; the
- * sweep continues.  When TRB_CHECKPOINT=<path> is set, every completed
- * (trace x set) cell is appended to a crash-safe manifest as exact bit
- * patterns, and a rerun with the same manifest resumes from the last
- * completed cell with bit-identical results; a manifest written by a
- * different sweep (signature mismatch) is discarded.
+ * Failure policy: quarantined traces (see forEachTrace()) leave NaN
+ * ratios and default baseline stats; the sweep continues.
+ *
+ * Resume: with TRB_STORE set, every cell's SimStats is memoized in the
+ * artifact store under a key that covers the trace contents and the
+ * full CoreParams, so rerunning a killed sweep gets each finished cell
+ * back bit-identically and simulates only the rest.
  *
  * @param baseline_out optional per-trace baseline stats sink, resized
  *        to the visited-trace count and filled by trace index

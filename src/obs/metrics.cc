@@ -259,57 +259,6 @@ MetricsRegistry::global()
     return registry;
 }
 
-// ---- ShardedMetricsRegistry ----
-
-MetricsRegistry &
-ShardedMetricsRegistry::shard(const std::string &path)
-{
-    return shards_[std::hash<std::string>{}(path) % kShards];
-}
-
-const MetricsRegistry &
-ShardedMetricsRegistry::shard(const std::string &path) const
-{
-    return shards_[std::hash<std::string>{}(path) % kShards];
-}
-
-void
-ShardedMetricsRegistry::addCounter(const std::string &path,
-                                   std::uint64_t delta)
-{
-    shard(path).addCounter(path, delta);
-}
-
-void
-ShardedMetricsRegistry::setGauge(const std::string &path, double v)
-{
-    shard(path).setGauge(path, v);
-}
-
-std::uint64_t
-ShardedMetricsRegistry::counterValue(const std::string &path) const
-{
-    return shard(path).counterValue(path);
-}
-
-double
-ShardedMetricsRegistry::gaugeValue(const std::string &path) const
-{
-    return shard(path).gaugeValue(path);
-}
-
-void
-ShardedMetricsRegistry::mergeInto(MetricsRegistry &target) const
-{
-    for (const MetricsRegistry &s : shards_) {
-        const MetricsRegistry::Snapshot snap = s.snapshot();
-        for (const MetricsRegistry::CounterEntry &c : snap.counters)
-            target.addCounter(c.path, c.value);
-        for (const MetricsRegistry::GaugeEntry &g : snap.gauges)
-            target.setGauge(g.path, g.value);
-    }
-}
-
 // ---- ThreadMetricsBuffer ----
 
 void

@@ -264,33 +264,4 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
     return result;
 }
 
-// The wrappers below are themselves the deprecated entry points.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-SimStats
-simulateChampSim(const ChampSimTrace &trace, const CoreParams &params,
-                 double warmupFraction, InstrPrefetcher *ipref)
-{
-    return simulate(ChampSimView(trace),
-                    SimRequest{.params = params,
-                               .warmupFraction = warmupFraction,
-                               .ipref = ipref})
-        .stats;
-}
-
-SimStats
-simulateCvp(const CvpTrace &cvp, ImprovementSet imps,
-            const CoreParams &params, double warmupFraction,
-            InstrPrefetcher *ipref)
-{
-    return simulate(cvp, SimRequest{.imps = imps,
-                                    .params = params,
-                                    .warmupFraction = warmupFraction,
-                                    .ipref = ipref})
-        .stats;
-}
-
-#pragma GCC diagnostic pop
-
 } // namespace trb

@@ -149,26 +149,6 @@ SimResult simulate(const CvpTrace &cvp, const SimRequest &req = {});
  */
 SimResult simulate(ChampSimView trace, const SimRequest &req = {});
 
-/**
- * @name Deprecated positional entry points
- * Thin wrappers kept for one release so out-of-tree callers migrate on
- * their own schedule; see DESIGN.md for the migration recipe.  They
- * forward to simulate() with an equivalent SimRequest (and therefore
- * also hit the store).
- * @{
- */
-[[deprecated("use simulate(cvp, SimRequest{.imps=..., .params=...})")]]
-SimStats simulateCvp(const CvpTrace &cvp, ImprovementSet imps,
-                     const CoreParams &params, double warmupFraction = 0.0,
-                     InstrPrefetcher *ipref = nullptr);
-
-[[deprecated("use simulate(trace, SimRequest{.params=...})")]]
-SimStats simulateChampSim(const ChampSimTrace &trace,
-                          const CoreParams &params,
-                          double warmupFraction = 0.0,
-                          InstrPrefetcher *ipref = nullptr);
-/** @} */
-
 } // namespace trb
 
 #endif // TRB_SIM_SIMULATOR_HH

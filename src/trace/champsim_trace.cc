@@ -2,7 +2,6 @@
 
 #include <zlib.h>
 
-#include "common/logging.hh"
 #include "common/strings.hh"
 #include "resil/gz_stream.hh"
 
@@ -57,23 +56,6 @@ tryReadChampSimTrace(const std::string &path)
         trace.push_back(rec);
     }
     return trace;
-}
-
-void
-writeChampSimTrace(const std::string &path, const ChampSimTrace &trace)
-{
-    Status st = tryWriteChampSimTrace(path, trace);
-    if (!st.ok())
-        trb_fatal(st.toString());
-}
-
-ChampSimTrace
-readChampSimTrace(const std::string &path)
-{
-    Expected<ChampSimTrace> trace = tryReadChampSimTrace(path);
-    if (!trace.ok())
-        trb_fatal(trace.status().toString());
-    return std::move(trace).value();
 }
 
 } // namespace trb

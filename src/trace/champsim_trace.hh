@@ -198,12 +198,6 @@ Status tryWriteChampSimTrace(const std::string &path,
  */
 Expected<ChampSimTrace> tryReadChampSimTrace(const std::string &path);
 
-/** Write a trace to @p path; fatal on any error (legacy wrapper). */
-void writeChampSimTrace(const std::string &path, const ChampSimTrace &trace);
-
-/** Read a ChampSim trace (raw or gz); fatal on any error (legacy). */
-ChampSimTrace readChampSimTrace(const std::string &path);
-
 } // namespace trb
 
 #endif // TRB_TRACE_CHAMPSIM_TRACE_HH

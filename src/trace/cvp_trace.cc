@@ -292,31 +292,6 @@ tryReadCvpTrace(const std::string &path)
     return trace;
 }
 
-void
-writeCvpTrace(const std::string &path, const CvpTrace &trace)
-{
-    Status st = tryWriteCvpTrace(path, trace);
-    if (!st.ok())
-        trb_fatal(st.toString());
-}
-
-CvpTrace
-readCvpTrace(const std::string &path)
-{
-    Expected<CvpTrace> trace = tryReadCvpTrace(path);
-    if (!trace.ok())
-        trb_fatal(trace.status().toString());
-    return std::move(trace).value();
-}
-
-CvpTraceReader::CvpTraceReader(const std::string &path)
-{
-    fatal_ = true;
-    Status st = open(path);
-    if (!st.ok())
-        trb_fatal(st.toString());
-}
-
 Status
 CvpTraceReader::open(const std::string &path)
 {
@@ -377,8 +352,6 @@ CvpTraceReader::next(CvpRecord &rec)
     if (parsed == CvpParse::NeedMore && !eof_) {
         if (Status st = fill(); !st.ok()) {
             status_ = st;
-            if (fatal_)
-                trb_fatal(status_.toString());
             return false;
         }
         at = pos_;
@@ -392,16 +365,12 @@ CvpTraceReader::next(CvpRecord &rec)
                       std::to_string(delivered_))
                       .at(in_.path(), bufferBase_ + pos_, delivered_)
                       .rule("cvp.record-truncated");
-        if (fatal_)
-            trb_fatal(status_.toString());
         return false;
     }
     if (parsed == CvpParse::BadData) {
         status_ = Status::corrupt("malformed CVP-1 record")
                       .at(in_.path(), bufferBase_ + pos_, delivered_)
                       .rule("cvp.record");
-        if (fatal_)
-            trb_fatal(status_.toString());
         return false;
     }
     pos_ = at;

@@ -31,12 +31,12 @@ tiny(const char *name, std::size_t bytes, unsigned ways,
 TEST(Cache, HitAfterInsert)
 {
     Cache c(tiny("t", 4096, 4));
-    EXPECT_FALSE(c.access(0x1000, false));
-    std::size_t slot = c.insert(0x1000, false, false);
+    EXPECT_FALSE(c.access(0x1000));
+    std::size_t slot = c.insert(0x1000, false);
     EXPECT_EQ(c.probeSlot(0x1000), slot);
-    EXPECT_EQ(c.accessSlot(0x103f, false), slot);   // same line
-    EXPECT_TRUE(c.access(0x1000, false));
-    EXPECT_FALSE(c.access(0x1040, false));  // next line
+    EXPECT_EQ(c.accessSlot(0x103f), slot);  // same line
+    EXPECT_TRUE(c.access(0x1000));
+    EXPECT_FALSE(c.access(0x1040));         // next line
     EXPECT_EQ(c.probeSlot(0x1040), Cache::kNoSlot);
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_EQ(c.accesses(), 4u);
@@ -49,39 +49,27 @@ TEST(Cache, LruEviction)
     ASSERT_EQ(c.numSets(), 4u);
     Addr stride = 4 * 64;
     Eviction ev;
-    c.insert(0x0, false, false, &ev);
+    c.insert(0x0, false, &ev);
     EXPECT_FALSE(ev.valid);                 // a free way, no victim
-    c.insert(stride, false, false, &ev);
+    c.insert(stride, false, &ev);
     EXPECT_FALSE(ev.valid);
-    EXPECT_TRUE(c.access(0x0, false));      // refresh line 0
-    c.insert(2 * stride, false, false, &ev);
+    EXPECT_TRUE(c.access(0x0));             // refresh line 0
+    c.insert(2 * stride, false, &ev);
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, stride);             // LRU was the middle one
     EXPECT_TRUE(c.probe(0x0));
     EXPECT_FALSE(c.probe(stride));
 }
 
-TEST(Cache, DirtyWritebackSignalled)
+TEST(Cache, LineZeroVictimReported)
 {
     Cache c(tiny("t", 2 * 64, 1));
     Eviction ev;
-    c.insert(0x0, true, false, &ev);        // dirty line, set 0
-    c.insert(2 * 64, false, false, &ev);    // same set
-    EXPECT_TRUE(ev.dirty);
+    c.insert(0x0, false, &ev);              // set 0
+    c.insert(2 * 64, false, &ev);           // same set
     // The victim is the line at address 0, told apart from "no victim".
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, 0u);
-    EXPECT_EQ(c.writebacks(), 1u);
-}
-
-TEST(Cache, WriteMarksDirty)
-{
-    Cache c(tiny("t", 2 * 64, 1));
-    Eviction ev;
-    c.insert(0x0, false, false);
-    EXPECT_TRUE(c.access(0x0, true));       // write hit dirties the line
-    c.insert(2 * 64, false, false, &ev);
-    EXPECT_TRUE(ev.dirty);
 }
 
 TEST(Cache, SrripPrefetchInsertedDistant)
@@ -90,23 +78,14 @@ TEST(Cache, SrripPrefetchInsertedDistant)
     // before demand lines that have been reused.
     Cache c(tiny("t", 4 * 64, 4, ReplPolicy::Srrip));
     Eviction ev;
-    c.insert(0 * 4 * 64, false, false);
-    c.access(0, false);                     // promote to RRPV 0
-    c.insert(1 * 4 * 64, false, true);      // prefetch: RRPV 3
-    c.insert(2 * 4 * 64, false, false);
-    c.insert(3 * 4 * 64, false, false);
-    c.insert(4 * 4 * 64, false, false, &ev);    // needs a victim
+    c.insert(0 * 4 * 64, false);
+    c.access(0);                            // promote to RRPV 0
+    c.insert(1 * 4 * 64, true);             // prefetch: RRPV 3
+    c.insert(2 * 4 * 64, false);
+    c.insert(3 * 4 * 64, false);
+    c.insert(4 * 4 * 64, false, &ev);       // needs a victim
     EXPECT_EQ(ev.addr, 1u * 4 * 64);        // the prefetched line goes
     EXPECT_TRUE(c.probe(0));
-}
-
-TEST(Cache, InvalidateReportsDirty)
-{
-    Cache c(tiny("t", 4096, 4));
-    c.insert(0x1000, true, false);
-    EXPECT_TRUE(c.invalidate(0x1000));
-    EXPECT_FALSE(c.probe(0x1000));
-    EXPECT_FALSE(c.invalidate(0x1000));
 }
 
 TEST(Cache, LruPrefersFreeWayAfterInvalidate)
@@ -115,14 +94,15 @@ TEST(Cache, LruPrefersFreeWayAfterInvalidate)
     // the LRU line is evicted.
     Cache c(tiny("t", 4 * 64, 4));
     for (Addr a = 0; a < 4; ++a)
-        c.insert(a * 64, false, false);
+        c.insert(a * 64, false);
     ASSERT_EQ(c.numSets(), 1u);
     std::size_t freed = c.probeSlot(2 * 64);
-    EXPECT_FALSE(c.invalidate(2 * 64));
+    c.invalidate(2 * 64);
+    EXPECT_FALSE(c.probe(2 * 64));
     Eviction ev;
-    EXPECT_EQ(c.insert(9 * 64, false, false, &ev), freed);
+    EXPECT_EQ(c.insert(9 * 64, false, &ev), freed);
     EXPECT_FALSE(ev.valid);
-    c.insert(10 * 64, false, false, &ev);
+    c.insert(10 * 64, false, &ev);
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, 0u);                 // now the oldest line goes
 }

@@ -271,25 +271,6 @@ TEST(MetricsConcurrency, SnapshotIsConsistentDuringWrites)
     EXPECT_EQ(reg.counterValue("probe"), 1500u);
 }
 
-TEST(MetricsConcurrency, ShardedRegistryCountsEveryAdd)
-{
-    obs::ShardedMetricsRegistry sharded;
-    par::ThreadPool pool(8);
-    pool.parallelFor(4000, [&](std::size_t i) {
-        sharded.addCounter("shared.hits");
-        sharded.addCounter("path." + std::to_string(i % 32));
-    });
-    EXPECT_EQ(sharded.counterValue("shared.hits"), 4000u);
-
-    obs::MetricsRegistry folded;
-    sharded.mergeInto(folded);
-    EXPECT_EQ(folded.counterValue("shared.hits"), 4000u);
-    std::uint64_t spread = 0;
-    for (int p = 0; p < 32; ++p)
-        spread += folded.counterValue("path." + std::to_string(p));
-    EXPECT_EQ(spread, 4000u);
-}
-
 TEST(MetricsConcurrency, ThreadBuffersFoldLocallyAndFlushOnce)
 {
     obs::MetricsRegistry reg;

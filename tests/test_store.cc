@@ -3,26 +3,30 @@
  * Tests for trb::store and the SimRequest store integration: key and
  * digest stability across Store instances, artifact round-trips,
  * quarantine of damaged artifacts (including TRB_FAULT-injected damage),
- * LRU eviction, and the headline contract -- simulate() results are
- * bit-identical whether the store is cold, warm, or disabled.
+ * LRU eviction, the headline contract -- simulate() results are
+ * bit-identical whether the store is cold, warm, or disabled -- and
+ * resuming a killed sweep from the store.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "convert/improvements.hh"
+#include "experiments/experiment.hh"
 #include "obs/metrics.hh"
 #include "resil/fault.hh"
 #include "sim/simulator.hh"
 #include "store/digest.hh"
 #include "store/store.hh"
 #include "synth/generator.hh"
+#include "synth/suites.hh"
 
 namespace fs = std::filesystem;
 
@@ -449,26 +453,60 @@ TEST_F(StoreTest, SimulateCorruptStoreFallsBack)
     EXPECT_TRUE(warm.statsFromStore);
 }
 
-// The deprecated wrappers stay pinned here until removal: they must
-// forward exactly.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(StoreTest, DeprecatedWrappersForward)
+/**
+ * Resuming a killed sweep is rerunning it against the same store: the
+ * cells finished before the kill come back from the stats memo, bit for
+ * bit, and only the rest are simulated.  The kill is modelled by sweeping
+ * a prefix of the suite into an empty store first.
+ */
+TEST_F(StoreTest, PartialSweepResumesFromStore)
 {
-    store::Store::setDirForTesting("");
-    CvpTrace cvp = TraceGenerator(serverParams(2)).generate(3000);
-    SimStats via_wrapper = simulateCvp(cvp, kImpNone, modernConfig());
-    SimStats via_request = simulate(cvp, {.imps = kImpNone}).stats;
-    EXPECT_EQ(via_wrapper.toBits(), via_request.toBits());
+    const std::vector<TraceSpec> full_suite = cvp1PublicSuite(1000);
+    std::vector<TraceSpec> suite;
+    for (std::size_t i = 0; i < full_suite.size(); i += 15)
+        suite.push_back(full_suite[i]);
+    ASSERT_GE(suite.size(), 6u);
+    const std::vector<NamedSet> sets(figureOneSets().begin(),
+                                     figureOneSets().begin() + 2);
+    const CoreParams params;
+    const std::size_t finished = 4;
+    const std::size_t cells = sets.size() + 1;      // base + each set
 
-    ChampSimTrace trace = Cvp2ChampSim(kImpNone).convert(cvp);
-    SimStats cs_wrapper = simulateChampSim(trace, modernConfig(), 0.25);
-    SimStats cs_request = simulate(ChampSimView(trace),
-                                   {.warmupFraction = 0.25})
-                              .stats;
-    EXPECT_EQ(cs_wrapper.toBits(), cs_request.toBits());
+    store::Store::setDirForTesting("");
+    std::vector<SimStats> ref_base;
+    const std::vector<DeltaSeries> ref =
+        runImprovementSweep(suite, sets, params, &ref_base);
+
+    store::Store::setDirForTesting(dir_);
+    const std::vector<TraceSpec> killed(suite.begin(),
+                                        suite.begin() + finished);
+    runImprovementSweep(killed, sets, params);
+
+    const std::uint64_t hits = counter("store.hits");
+    const std::uint64_t misses = counter("store.misses");
+    std::vector<SimStats> resumed_base;
+    const std::vector<DeltaSeries> resumed =
+        runImprovementSweep(suite, sets, params, &resumed_base);
+    // A finished cell is one stats hit; an unfinished one misses its
+    // stats and then its converted trace.
+    EXPECT_EQ(counter("store.hits"), hits + finished * cells);
+    EXPECT_EQ(counter("store.misses"),
+              misses + (suite.size() - finished) * cells * 2);
+
+    ASSERT_EQ(resumed.size(), ref.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+        ASSERT_EQ(resumed[k].ratio.size(), suite.size());
+        for (std::size_t i = 0; i < suite.size(); ++i)
+            EXPECT_EQ(std::memcmp(&resumed[k].ratio[i], &ref[k].ratio[i],
+                                  sizeof(double)),
+                      0)
+                << "set " << k << " trace " << i;
+    }
+    ASSERT_EQ(resumed_base.size(), ref_base.size());
+    for (std::size_t i = 0; i < ref_base.size(); ++i)
+        EXPECT_EQ(resumed_base[i].toBits(), ref_base[i].toBits())
+            << "trace " << i;
 }
-#pragma GCC diagnostic pop
 
 } // namespace
 } // namespace trb

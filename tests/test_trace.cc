@@ -117,19 +117,24 @@ TEST_P(CvpFileRoundTrip, WholeTrace)
     for (int i = 0; i < 3000; ++i)
         trace.push_back(randomCvpRecord(rng));
     std::string path = tempPath(std::string("trb_cvp_rt") + GetParam());
-    writeCvpTrace(path, trace);
-    CvpTrace back = readCvpTrace(path);
-    ASSERT_EQ(back.size(), trace.size());
+    Status st = tryWriteCvpTrace(path, trace);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    Expected<CvpTrace> back = tryReadCvpTrace(path);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    ASSERT_EQ(back.value().size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
-        ASSERT_TRUE(trace[i] == back[i]) << "record " << i;
+        ASSERT_TRUE(trace[i] == back.value()[i]) << "record " << i;
 
     // Streaming reader agrees.
-    CvpTraceReader reader(path);
+    CvpTraceReader reader;
+    st = reader.open(path);
+    ASSERT_TRUE(st.ok()) << st.toString();
     EXPECT_EQ(reader.count(), trace.size());
     CvpRecord rec;
     std::size_t n = 0;
     while (reader.next(rec))
         ++n;
+    EXPECT_TRUE(reader.status().ok()) << reader.status().toString();
     EXPECT_EQ(n, trace.size());
     fs::remove(path);
 }
@@ -140,8 +145,11 @@ INSTANTIATE_TEST_SUITE_P(RawAndGz, CvpFileRoundTrip,
 TEST(CvpFile, EmptyTraceRoundTrips)
 {
     std::string path = tempPath("trb_cvp_empty.bin");
-    writeCvpTrace(path, {});
-    EXPECT_TRUE(readCvpTrace(path).empty());
+    Status st = tryWriteCvpTrace(path, {});
+    ASSERT_TRUE(st.ok()) << st.toString();
+    Expected<CvpTrace> back = tryReadCvpTrace(path);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_TRUE(back.value().empty());
     fs::remove(path);
 }
 
@@ -200,11 +208,13 @@ TEST(ChampSimFile, RoundTripRawAndGz)
     }
     for (const char *suffix : {".bin", ".gz"}) {
         std::string path = tempPath(std::string("trb_cs_rt") + suffix);
-        writeChampSimTrace(path, trace);
-        ChampSimTrace back = readChampSimTrace(path);
-        ASSERT_EQ(back.size(), trace.size());
+        Status st = tryWriteChampSimTrace(path, trace);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        Expected<ChampSimTrace> back = tryReadChampSimTrace(path);
+        ASSERT_TRUE(back.ok()) << back.status().toString();
+        ASSERT_EQ(back.value().size(), trace.size());
         for (std::size_t i = 0; i < trace.size(); ++i)
-            ASSERT_TRUE(trace[i] == back[i]);
+            ASSERT_TRUE(trace[i] == back.value()[i]);
         fs::remove(path);
     }
 }

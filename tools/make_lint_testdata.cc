@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <string>
+#include <system_error>
 
 #include "convert/cvp2champsim.hh"
 #include "synth/generator.hh"
@@ -203,6 +204,16 @@ cfgStaleFlagsTrace()
     return t;
 }
 
+/** Print a failed write's Status; true when @p st is OK. */
+bool
+wrote(const Status &st)
+{
+    if (!st.ok())
+        std::fprintf(stderr, "make_lint_testdata: %s\n",
+                     st.toString().c_str());
+    return st.ok();
+}
+
 } // namespace
 
 int
@@ -211,7 +222,13 @@ main(int argc, char **argv)
     using namespace trb;
 
     std::string dir = argc >= 2 ? argv[1] : "tests/data/lint";
-    std::filesystem::create_directories(dir);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        std::fprintf(stderr, "make_lint_testdata: cannot create %s: %s\n",
+                     dir.c_str(), ec.message().c_str());
+        return 1;
+    }
 
     const struct
     {
@@ -231,14 +248,16 @@ main(int argc, char **argv)
         CvpTrace cvp = TraceGenerator(params).generate(kLength);
 
         std::string base = dir + "/" + f.name;
-        writeCvpTrace(base + ".cvp.gz", cvp);
+        if (!wrote(tryWriteCvpTrace(base + ".cvp.gz", cvp)))
+            return 1;
         for (ImprovementSet imps :
              {ImprovementSet{kAllImps}, ImprovementSet{kImpNone}}) {
             Cvp2ChampSim conv(imps);
             ChampSimTrace cs = conv.convert(cvp);
             std::string out = base + "." + improvementSetName(imps) +
                               ".champsimtrace.gz";
-            writeChampSimTrace(out, cs);
+            if (!wrote(tryWriteChampSimTrace(out, cs)))
+                return 1;
             std::printf("%s: %zu records\n", out.c_str(), cs.size());
         }
     }
@@ -257,7 +276,8 @@ main(int argc, char **argv)
     for (const auto &f : cfgFixtures) {
         ChampSimTrace cs = f.build();
         std::string out = dir + "/" + f.name + ".champsimtrace.gz";
-        writeChampSimTrace(out, cs);
+        if (!wrote(tryWriteChampSimTrace(out, cs)))
+            return 1;
         std::printf("%s: %zu records\n", out.c_str(), cs.size());
     }
     return 0;
